@@ -1,7 +1,9 @@
 //! Flow profiler: runs ONE (kernel, flow, config) job uncached with span
 //! recording force-enabled, then prints a per-phase and per-block time
-//! breakdown recovered from the recorded Chrome trace, and writes the
-//! trace itself for `chrome://tracing` / Perfetto.
+//! breakdown recovered from the recorded Chrome trace, the mapper's
+//! per-stage times (expand / filter / prune / materialise / finalize,
+//! from the `mapper.stage_ns.*` counters), and writes the trace itself
+//! for `chrome://tracing` / Perfetto.
 //!
 //! This is the observability layer's own smoke test: the numbers printed
 //! here are parsed back out of [`cmam_obs::chrome_trace_json`] through
@@ -282,13 +284,40 @@ fn main() {
         emit_table(&["block", "ops", "µs", "µs/op"], &rows);
     }
 
+    // Mapper stages, from the `mapper.stage_ns.*` wall-clock counters
+    // (a few clock reads per op step, flushed once per map).
+    let counters = cmam_obs::metrics::registry().counter_snapshot();
+    let stage_ns = |stage: &str| {
+        counters
+            .iter()
+            .find(|(name, _)| name.strip_prefix("mapper.stage_ns.") == Some(stage))
+            .map_or(0, |&(_, v)| v)
+    };
+    const STAGES: [&str; 5] = ["expand", "filter", "prune", "materialise", "finalize"];
+    let total_ns: u64 = STAGES.iter().map(|s| stage_ns(s)).sum();
+    let rows: Vec<Vec<String>> = STAGES
+        .iter()
+        .map(|s| {
+            let ns = stage_ns(s);
+            vec![
+                (*s).to_owned(),
+                format!("{:.1}", ns as f64 / 1e3),
+                format!("{:.1}%", 100.0 * ns as f64 / total_ns.max(1) as f64),
+            ]
+        })
+        .collect();
+    println!("\n## mapper stages\n");
+    emit_table(&["stage", "µs", "share"], &rows);
+
     // Mapper search-effort counters, straight from the metrics registry.
     println!("\n## mapper counters\n");
-    let rows: Vec<Vec<String>> = cmam_obs::metrics::registry()
-        .counter_snapshot()
-        .into_iter()
-        .filter(|(name, _)| name.starts_with("mapper.") || name.starts_with("sim."))
-        .map(|(name, v)| vec![name.to_owned(), v.to_string()])
+    let rows: Vec<Vec<String>> = counters
+        .iter()
+        .filter(|(name, _)| {
+            (name.starts_with("mapper.") && !name.starts_with("mapper.stage_ns."))
+                || name.starts_with("sim.")
+        })
+        .map(|(name, v)| vec![(*name).to_owned(), v.to_string()])
         .collect();
     emit_table(&["counter", "value"], &rows);
 

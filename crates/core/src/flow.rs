@@ -28,6 +28,7 @@ use rand::SeedableRng;
 use std::error::Error;
 use std::fmt;
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// Why a kernel could not be mapped.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -90,7 +91,10 @@ impl From<ValidateError> for MapError {
 pub struct MapStats {
     /// Candidate bindings generated (successful `try_place_op` calls).
     pub candidates: u64,
-    /// Candidate bindings attempted (including failures).
+    /// Candidate bindings attempted (including failures). The `slack + 1`
+    /// cycles of a tile that `try_place_op` would refuse before mutating
+    /// anything — a memory op on a tile without an LSU, any op on a
+    /// CAB-blacklisted tile — are counted without a call.
     pub attempts: u64,
     /// Partials dropped by the ACMAP filter.
     pub acmap_pruned: u64,
@@ -135,6 +139,68 @@ impl MapStats {
         cmam_obs::counter!("mapper.escalations").add(self.escalations);
         cmam_obs::counter!("mapper.rollbacks").add(self.rollbacks);
         cmam_obs::gauge!("mapper.peak_population").raise(self.peak_population as i64);
+    }
+}
+
+/// The stages of one op step (plus block finalisation) that
+/// [`StageClock`] attributes wall-clock time to.
+#[derive(Debug, Clone, Copy)]
+enum Stage {
+    /// Candidate generation: the try/rollback loop with slack
+    /// escalation. Block set-up (dependency graph, priority order, the
+    /// first partial) counts here too.
+    Expand,
+    /// The ACMAP/ECMAP retains over the candidate pool.
+    Filter,
+    /// Stochastic pruning.
+    Prune,
+    /// Re-applying the chosen candidates onto their parents.
+    Materialise,
+    /// Symbol commits, exact fit and the winner's commit.
+    Finalize,
+}
+
+/// Wall-clock attribution of one `map()` call to its [`Stage`]s: one
+/// `Instant` per stage switch — a few per op step, never per candidate —
+/// flushed once per map into the `mapper.stage_ns.*` counters. Timing
+/// only: it feeds no search decision and no [`MapStats`] field, so the
+/// counters vary from run to run while everything else stays exact.
+#[derive(Debug)]
+struct StageClock {
+    last: Instant,
+    stage: Stage,
+    ns: [u64; 5],
+}
+
+impl StageClock {
+    fn start() -> Self {
+        StageClock {
+            last: Instant::now(),
+            stage: Stage::Expand,
+            ns: [0; 5],
+        }
+    }
+
+    /// Charges the time since the last switch to the current stage and
+    /// makes `next` current.
+    fn enter(&mut self, next: Stage) {
+        let now = Instant::now();
+        self.ns[self.stage as usize] += (now - self.last).as_nanos() as u64;
+        self.last = now;
+        self.stage = next;
+    }
+
+    /// Closes the current stage and adds the totals to the metrics
+    /// registry — called once per [`Mapper::map`], beside
+    /// [`MapStats::flush_metrics`].
+    fn flush(mut self) {
+        self.enter(self.stage);
+        let [expand, filter, prune, materialise, finalize] = self.ns;
+        cmam_obs::counter!("mapper.stage_ns.expand").add(expand);
+        cmam_obs::counter!("mapper.stage_ns.filter").add(filter);
+        cmam_obs::counter!("mapper.stage_ns.prune").add(prune);
+        cmam_obs::counter!("mapper.stage_ns.materialise").add(materialise);
+        cmam_obs::counter!("mapper.stage_ns.finalize").add(finalize);
     }
 }
 
@@ -188,48 +254,81 @@ impl ExpandStats {
 }
 
 /// Expands one partial mapping for `op` at the given `slack`: the
-/// tiles × cycles try/rollback loop, the per-candidate memory-filter
-/// verdicts, and the per-partial expansion cut. **The** candidate
-/// generator — the sequential path and every parallel beam shard call
-/// exactly this function, which is what makes the parallel search
-/// bit-identical to the sequential one by construction.
+/// tiles × cycles try/rollback loop, the per-partial expansion cut and
+/// the memory-filter verdicts of the candidates that make the cut.
+/// **The** candidate generator — the sequential path and every parallel
+/// beam shard call exactly this function, which is what makes the
+/// parallel search bit-identical to the sequential one by construction.
+///
+/// `caps` is the effective context capacity of every tile for the block
+/// being mapped (`MapCtx::capacity`, as a dense slice); the tiles are
+/// tried in id order.
 fn expand_partial(
     ctx: &MapCtx<'_>,
     deps: &DepGraph,
-    tiles: &[TileId],
+    caps: &[usize],
     op: OpId,
     slack: usize,
     pi: usize,
     partial: &mut Partial,
 ) -> (Vec<Candidate>, ExpandStats) {
-    let geom = ctx.config.geometry();
     let mut st = ExpandStats::default();
     let earliest = partial.earliest_cycle(deps, op);
     let cp = partial.checkpoint();
-    let mut local: Vec<Candidate> = Vec::new();
-    for &tile in tiles {
+    let is_memory = ctx.cdfg.op(op).opcode.is_memory();
+    let k = ctx.options.expansion;
+    // The expansion cut happens *before* the memory filters, exactly like
+    // the paper's Fig 4 pipeline (binding -> ACMAP -> stochastic
+    // pruning): the memory-aware steps prune the partial-mapping set,
+    // they do not re-rank the binder's candidates. This is what makes
+    // over-constrained targets fail (the zero bars of Figs 6-8) instead
+    // of being rescued by exhaustive candidate filtering. The cut is
+    // applied as candidates arrive: `local` holds the `k` cheapest so
+    // far, ties in generation order — what a stable sort + truncate of
+    // every candidate gives.
+    let mut local: Vec<Candidate> = Vec::with_capacity(k);
+    for tile in (0..caps.len()).map(TileId) {
+        // Tile-level rejects: `try_place_op` refuses a memory op on a tile
+        // without an LSU, and any op on a CAB-blacklisted tile, before it
+        // mutates anything. The state is the checkpoint's at every cycle,
+        // so every cycle of the tile fails alike; count them unattempted.
+        if (is_memory && !ctx.config.tile(tile).has_lsu)
+            || (ctx.options.cab && partial.blacklisted(ctx, tile))
+        {
+            st.attempts += slack as u64 + 1;
+            if cfg!(debug_assertions) {
+                for cycle in earliest..=earliest + slack {
+                    debug_assert!(
+                        !partial.try_place_op(ctx, op, tile, cycle) && !partial.dirty_since(cp),
+                        "skipped tile {tile} would take {op} at cycle {cycle}"
+                    );
+                }
+            }
+            continue;
+        }
         for cycle in earliest..=earliest + slack {
             st.attempts += 1;
             if partial.try_place_op(ctx, op, tile, cycle) {
                 st.candidates += 1;
-                // Evaluate the memory filters while the delta is applied —
-                // O(1) per tile from the incremental counters.
-                let acmap_ok = !ctx.options.acmap
-                    || geom
-                        .tiles()
-                        .all(|t| partial.acmap_words(t) <= ctx.capacity(t));
-                let ecmap_ok = !ctx.options.ecmap
-                    || geom
-                        .tiles()
-                        .all(|t| partial.ecmap_words(t) <= ctx.capacity(t));
-                local.push(Candidate {
-                    parent: pi as u32,
-                    tile,
-                    cycle: cycle as u32,
-                    cost: partial.cost(),
-                    acmap_ok,
-                    ecmap_ok,
-                });
+                // Only candidates that make the cut need the memory
+                // verdicts, read while the delta is applied.
+                top_k_offer(
+                    &mut local,
+                    k,
+                    partial.cost(),
+                    |c| c.cost,
+                    || {
+                        let (acmap_ok, ecmap_ok) = memory_verdicts(partial, ctx.options, caps);
+                        Candidate {
+                            parent: pi as u32,
+                            tile,
+                            cycle: cycle as u32,
+                            cost: partial.cost(),
+                            acmap_ok,
+                            ecmap_ok,
+                        }
+                    },
+                );
             }
             if partial.dirty_since(cp) {
                 st.rollbacks += 1;
@@ -237,17 +336,44 @@ fn expand_partial(
             }
         }
     }
-    // Note the expansion cut happens *before* the memory filters, exactly
-    // like the paper's Fig 4 pipeline (binding -> ACMAP -> stochastic
-    // pruning): the memory-aware steps prune the partial-mapping set,
-    // they do not re-rank the binder's candidates. This is what makes
-    // over-constrained targets fail (the zero bars of Figs 6-8) instead
-    // of being rescued by exhaustive candidate filtering. (Stable sort:
-    // ties keep generation order, as when partials themselves were
-    // sorted.)
-    local.sort_by_key(|c| c.cost);
-    local.truncate(ctx.options.expansion);
     (local, st)
+}
+
+/// Offers an item keyed `key` to `list` — sorted by key, ties in arrival
+/// order, at most `k` long — building it with `make` only when it makes
+/// the cut, and evicting the last item when the list is full. Offering
+/// every arrival keeps exactly the first `k` of a stable sort of all
+/// arrivals: an evicted item can never return, since every later arrival
+/// ranks after it on ties.
+fn top_k_offer<T, K: Ord>(
+    list: &mut Vec<T>,
+    k: usize,
+    key: K,
+    key_of: impl Fn(&T) -> K,
+    make: impl FnOnce() -> T,
+) {
+    let pos = list.partition_point(|x| key_of(x) <= key);
+    if pos < k {
+        list.truncate(k - 1);
+        list.insert(pos, make());
+    }
+}
+
+/// The ACMAP and ECMAP verdicts of `partial` against the per-tile
+/// capacities `caps` — what [`acmap_filter`](crate::acmap_filter) and
+/// [`ecmap_filter`](crate::ecmap_filter) decide for it. ECMAP words are
+/// never below ACMAP words on any tile, so a partial that passes ECMAP
+/// passes ACMAP too, and the common all-fit case takes one scan.
+fn memory_verdicts(partial: &Partial, options: &MapperOptions, caps: &[usize]) -> (bool, bool) {
+    let fits = |words: fn(&Partial, TileId) -> usize| {
+        caps.iter()
+            .enumerate()
+            .all(|(t, &cap)| words(partial, TileId(t)) <= cap)
+    };
+    if options.ecmap && fits(Partial::ecmap_words) {
+        return (true, true);
+    }
+    (!options.acmap || fits(Partial::acmap_words), !options.ecmap)
 }
 
 /// The owned copy of one `map()` call's inputs that parallel beam shards
@@ -317,7 +443,7 @@ impl BeamPool {
         &self,
         reserve: usize,
         deps: &Arc<DepGraph>,
-        tiles: &Arc<Vec<TileId>>,
+        caps: &Arc<Vec<usize>>,
         op: OpId,
         slack: usize,
         population: Vec<Partial>,
@@ -327,7 +453,7 @@ impl BeamPool {
         let job_slots = Arc::clone(&slots);
         let shared = Arc::clone(&self.shared);
         let deps = Arc::clone(deps);
-        let tiles = Arc::clone(tiles);
+        let caps = Arc::clone(caps);
         let results = cmam_pool::global().run_indexed(n, self.threads, move |i| {
             let ctx = shared.ctx(reserve);
             let mut p = job_slots[i]
@@ -335,7 +461,7 @@ impl BeamPool {
                 .expect("beam slot poisoned")
                 .take()
                 .expect("partial present");
-            let out = expand_partial(&ctx, &deps, &tiles, op, slack, i, &mut p);
+            let out = expand_partial(&ctx, &deps, &caps, op, slack, i, &mut p);
             *job_slots[i].lock().expect("beam slot poisoned") = Some(p);
             out
         });
@@ -407,8 +533,10 @@ impl Mapper {
     pub fn map(&self, cdfg: &Cdfg, config: &CgraConfig) -> Result<MapResult, MapError> {
         let _span = cmam_obs::span!("map", blocks = cdfg.num_blocks() as u64);
         let mut stats = MapStats::default();
-        let result = self.map_impl(cdfg, config, &mut stats);
+        let mut clock = StageClock::start();
+        let result = self.map_impl(cdfg, config, &mut stats, &mut clock);
         stats.flush_metrics(result.is_err());
+        clock.flush();
         result.map(|mapping| MapResult { mapping, stats })
     }
 
@@ -417,6 +545,7 @@ impl Mapper {
         cdfg: &Cdfg,
         config: &CgraConfig,
         stats: &mut MapStats,
+        clock: &mut StageClock,
     ) -> Result<KernelMapping, MapError> {
         cdfg.validate()?;
         let order = match self.options.traversal {
@@ -459,6 +588,7 @@ impl Mapper {
                 &mut state,
                 &mut rng,
                 stats,
+                clock,
                 &mut pool_mem,
                 beam.as_ref(),
             )?;
@@ -483,9 +613,11 @@ impl Mapper {
         state: &mut FlowState,
         rng: &mut StdRng,
         stats: &mut MapStats,
+        clock: &mut StageClock,
         pool_mem: &mut Vec<Partial>,
         beam: Option<&BeamPool>,
     ) -> Result<cmam_isa::BlockMapping, MapError> {
+        clock.enter(Stage::Expand);
         let dfg = ctx.cdfg.dfg(block);
         let deps = Arc::new(DepGraph::build(&dfg));
         let order = priority_order(&dfg, &deps);
@@ -494,11 +626,18 @@ impl Mapper {
             block = block.0 as u64,
             ops = order.len() as u64
         );
-        let tiles: Arc<Vec<TileId>> = Arc::new(ctx.config.geometry().tiles().collect());
+        let caps: Arc<Vec<usize>> = Arc::new(
+            ctx.config
+                .geometry()
+                .tiles()
+                .map(|t| ctx.capacity(t))
+                .collect(),
+        );
 
         let mut population = vec![Partial::new(state, ctx)];
 
         for &op in &order {
+            clock.enter(Stage::Expand);
             // Candidate generation with slack escalation. Every trial is
             // applied to the shared parent state and rolled back; cloning
             // happens only for pruning survivors below. With beam
@@ -516,7 +655,7 @@ impl Mapper {
                         let (pop, cands, st) = bp.expand_round(
                             ctx.reserve,
                             &deps,
-                            &tiles,
+                            &caps,
                             op,
                             slack,
                             std::mem::take(&mut population),
@@ -529,7 +668,7 @@ impl Mapper {
                         let mut st = ExpandStats::default();
                         for (pi, partial) in population.iter_mut().enumerate() {
                             let (local, s) =
-                                expand_partial(ctx, &deps, &tiles, op, slack, pi, partial);
+                                expand_partial(ctx, &deps, &caps, op, slack, pi, partial);
                             pool.extend(local);
                             st.absorb(s);
                         }
@@ -543,6 +682,7 @@ impl Mapper {
                     break;
                 }
             }
+            clock.enter(Stage::Filter);
             if pool.is_empty() {
                 // With memory awareness on, an empty pool usually means
                 // the CAB blacklist / capacity reservation left no legal
@@ -584,10 +724,12 @@ impl Mapper {
                     });
                 }
             }
+            clock.enter(Stage::Prune);
             let before = pool.len();
             let chosen = stochastic_prune_by(pool, self.options.population, rng, |c| c.cost);
             stats.stochastic_pruned += (before - chosen.len()) as u64;
 
+            clock.enter(Stage::Materialise);
             // Materialise the survivors: re-apply each chosen delta onto
             // (a clone of) its parent. The last reference to a parent
             // takes it by move; buffers of never-chosen parents are
@@ -629,6 +771,7 @@ impl Mapper {
             population = next;
         }
 
+        clock.enter(Stage::Finalize);
         // Finalisation: symbol commits + exact feasibility. Each trial
         // only touches its own partial, so the surviving beam shards the
         // same way expansion did; verdicts join in partial index order.
@@ -752,6 +895,101 @@ mod tests {
         let mapper = Mapper::new(MapperOptions::context_aware());
         let err = mapper.map(&cdfg, &config).unwrap_err();
         assert!(matches!(err, MapError::MemoryConstraint { .. }), "{err}");
+    }
+
+    #[test]
+    fn top_k_insertion_equals_stable_sort_and_truncate() {
+        // Costs from a tiny range, so ties are everywhere; the payload is
+        // the arrival index, which a stable sort keeps in order on ties.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for len in [0usize, 1, 2, 5, 9, 40, 200] {
+            let costs: Vec<(usize, usize)> = (0..len)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    ((state % 3) as usize, (state >> 8) as usize % 2)
+                })
+                .collect();
+            for k in [0usize, 1, 2, 3, 8, 24, 500] {
+                let mut list: Vec<((usize, usize), usize)> = Vec::new();
+                for (i, &c) in costs.iter().enumerate() {
+                    top_k_offer(&mut list, k, c, |x| x.0, || (c, i));
+                    assert!(list.len() <= k);
+                }
+                let mut reference: Vec<((usize, usize), usize)> =
+                    costs.iter().copied().zip(0..).collect();
+                reference.sort_by_key(|x| x.0);
+                reference.truncate(k);
+                assert_eq!(list, reference, "len {len}, k {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn lazy_memory_verdicts_equal_the_reference_filters() {
+        use crate::prune::{acmap_filter, ecmap_filter};
+        let cdfg = sum_squares(8, 100);
+        // Shallow memories, so placements overflow tiles under both
+        // metrics as the body fills up.
+        let config = CgraConfig::builder(4, 4).uniform_cm(4).build().unwrap();
+        let pre = MapPre::new(&config);
+        let block = BlockId(1);
+        let dfg = cdfg.dfg(block);
+        let deps = DepGraph::build(&dfg);
+        let order = priority_order(&dfg, &deps);
+        let base = MapperOptions::basic();
+        let mut seen_fail = (false, false);
+        for reserve in 0..3 {
+            let ctx = MapCtx {
+                cdfg: &cdfg,
+                config: &config,
+                options: &base,
+                reserve,
+                pre: &pre,
+            };
+            let caps: Vec<usize> = config.geometry().tiles().map(|t| ctx.capacity(t)).collect();
+            let mut p = Partial::new(&FlowState::new(16), &ctx);
+            for (i, &op) in order.iter().enumerate() {
+                // Spread the ops over tiles and leave idle gaps, so both
+                // interior and leading/trailing runs show up.
+                let earliest = p.earliest_cycle(&deps, op);
+                let placed = (0..16).any(|j| {
+                    let tile = TileId((i * 5 + j) % 16);
+                    let cp = p.checkpoint();
+                    if p.try_place_op(&ctx, op, tile, earliest + 2) {
+                        return true;
+                    }
+                    p.rollback(cp);
+                    false
+                });
+                if !placed {
+                    continue;
+                }
+                p.clear_journal();
+                for (acmap, ecmap) in [(false, false), (true, false), (false, true), (true, true)] {
+                    let options = MapperOptions {
+                        acmap,
+                        ecmap,
+                        ..base.clone()
+                    };
+                    let acmap_ref = !acmap || acmap_filter(&mut vec![p.clone()], &ctx) == 0;
+                    let ecmap_ref = !ecmap || ecmap_filter(&mut vec![p.clone()], &ctx) == 0;
+                    assert_eq!(
+                        memory_verdicts(&p, &options, &caps),
+                        (acmap_ref, ecmap_ref),
+                        "reserve {reserve}, op {op}, acmap {acmap}, ecmap {ecmap}"
+                    );
+                    seen_fail.0 |= !acmap_ref;
+                    seen_fail.1 |= !ecmap_ref;
+                }
+            }
+        }
+        assert_eq!(
+            seen_fail,
+            (true, true),
+            "both filters must reject something"
+        );
     }
 
     #[test]

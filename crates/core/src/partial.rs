@@ -68,8 +68,9 @@ use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
 /// Immutable per-`map()` precomputation: the torus neighbourhoods in the
-/// two orders the binder consumes, so the hot loop never re-derives (or
-/// re-allocates) them per call.
+/// two orders the binder consumes, the tile-pair hop distances and the
+/// home-probe orders, so the hot loop never re-derives (or re-allocates)
+/// them per call.
 #[derive(Debug, Clone)]
 pub struct MapPre {
     /// Per tile: neighbours in `Direction::ALL` (N,E,S,W) order,
@@ -79,14 +80,23 @@ pub struct MapPre {
     /// Per tile: the same neighbours sorted by ascending tile id — the
     /// order the routing BFS expands.
     nbr_sorted: Vec<Vec<TileId>>,
+    /// Row stride of the two tables below.
+    ntiles: usize,
+    /// Row-major `ntiles × ntiles` torus hop distances.
+    dist: Vec<u16>,
+    /// Row-major `ntiles × ntiles`: per preferred tile, every tile in the
+    /// order [`Partial`]'s home pinning probes them.
+    home_order: Vec<TileId>,
 }
 
 impl MapPre {
-    /// Precomputes the neighbourhood tables of `config`'s geometry.
+    /// Precomputes the neighbourhood, distance and home-order tables of
+    /// `config`'s geometry.
     pub fn new(config: &CgraConfig) -> Self {
         let geom = config.geometry();
-        let mut nbr_dir = Vec::with_capacity(geom.num_tiles());
-        let mut nbr_sorted = Vec::with_capacity(geom.num_tiles());
+        let n = geom.num_tiles();
+        let mut nbr_dir = Vec::with_capacity(n);
+        let mut nbr_sorted = Vec::with_capacity(n);
         for t in geom.tiles() {
             let dir: Vec<TileId> = geom.neighbors(t).into_iter().map(|(_, n)| n).collect();
             let mut sorted = dir.clone();
@@ -94,10 +104,47 @@ impl MapPre {
             nbr_dir.push(dir);
             nbr_sorted.push(sorted);
         }
+        let dist = geom
+            .tiles()
+            .flat_map(|a| geom.tiles().map(move |b| geom.distance(a, b)))
+            .map(|d| u16::try_from(d).expect("torus distance fits u16"))
+            .collect();
+        // Home probe order: the preferred tile, its neighbours in
+        // direction order, then every other tile by (distance, id).
+        // Neighbours exclude the tile itself and are deduplicated, so
+        // each row is a permutation of all tiles.
+        let mut home_order = Vec::with_capacity(n * n);
+        for p in geom.tiles() {
+            let row = home_order.len();
+            home_order.push(p);
+            home_order.extend_from_slice(&nbr_dir[p.0]);
+            let mut rest: Vec<TileId> = geom
+                .tiles()
+                .filter(|t| !home_order[row..].contains(t))
+                .collect();
+            rest.sort_by_key(|&t| (geom.distance(t, p), t));
+            home_order.extend(rest);
+        }
         MapPre {
             nbr_dir,
             nbr_sorted,
+            ntiles: n,
+            dist,
+            home_order,
         }
+    }
+
+    /// Torus hop distance between `a` and `b` (equals
+    /// `Geometry::distance`, as one table load).
+    #[inline]
+    pub fn distance(&self, a: TileId, b: TileId) -> usize {
+        self.dist[a.0 * self.ntiles + b.0] as usize
+    }
+
+    /// Every tile, in the order a symbol home is probed when pinned near
+    /// `preferred`.
+    pub fn home_order(&self, preferred: TileId) -> &[TileId] {
+        &self.home_order[preferred.0 * self.ntiles..(preferred.0 + 1) * self.ntiles]
     }
 }
 
@@ -333,6 +380,11 @@ pub struct Partial {
     /// `max_overlap` interval scan because counts only grow (rollback
     /// restores the recorded previous peak).
     rf_peak: Vec<u16>,
+    /// Bound of the `rf_count` entries that may be non-zero, in every
+    /// row: one past the highest cycle ever incremented in this buffer
+    /// (rollback leaves it; not semantic state), so `clone_from` copies
+    /// only that prefix of each row.
+    rf_hi: usize,
 
     crf: Vec<Vec<i32>>,
     /// Home tile per symbol, indexed by `SymbolId`.
@@ -365,6 +417,9 @@ pub struct Partial {
     route_visited: Vec<RouteVisit>,
     route_stamp: u32,
     route_queue: VecDeque<TileId>,
+    /// Move chain of the last successful route, goal first:
+    /// `(src, dst, cycle)` per hop.
+    route_chain: Vec<(TileId, TileId, usize)>,
     read_cands: Vec<(usize, TileId)>,
 }
 
@@ -383,6 +438,7 @@ impl Clone for Partial {
             intervals: self.intervals.clone(),
             rf_count: self.rf_count.clone(),
             rf_peak: self.rf_peak.clone(),
+            rf_hi: self.rf_hi,
             crf: self.crf.clone(),
             homes: self.homes.clone(),
             persistent_count: self.persistent_count.clone(),
@@ -400,6 +456,7 @@ impl Clone for Partial {
             route_visited: vec![RouteVisit::default(); self.route_visited.len()],
             route_stamp: 0,
             route_queue: VecDeque::new(),
+            route_chain: Vec::new(),
             read_cands: Vec::new(),
         }
     }
@@ -418,7 +475,21 @@ impl Clone for Partial {
         self.frontier = src.frontier;
         clone_nested(&mut self.avail, &src.avail);
         clone_nested(&mut self.intervals, &src.intervals);
-        self.rf_count.clone_from(&src.rf_count);
+        if self.rf_count.len() == src.rf_count.len() && self.max_schedule == src.max_schedule {
+            // Past `max(self.rf_hi, src.rf_hi)` both buffers hold zeros.
+            let stride = src.max_schedule + 1;
+            let hi = self.rf_hi.max(src.rf_hi);
+            for (d, s) in self
+                .rf_count
+                .chunks_exact_mut(stride)
+                .zip(src.rf_count.chunks_exact(stride))
+            {
+                d[..hi].copy_from_slice(&s[..hi]);
+            }
+        } else {
+            self.rf_count.clone_from(&src.rf_count);
+        }
+        self.rf_hi = src.rf_hi;
         self.rf_peak.clone_from(&src.rf_peak);
         clone_nested(&mut self.crf, &src.crf);
         self.homes.clone_from(&src.homes);
@@ -474,6 +545,7 @@ impl Partial {
             intervals: vec![Vec::new(); n],
             rf_count: vec![0; n * (max_schedule + 1)],
             rf_peak: vec![0; n],
+            rf_hi: 0,
             crf: state.crf.clone(),
             homes,
             persistent_count: state.persistent_count.clone(),
@@ -489,6 +561,7 @@ impl Partial {
             route_visited: vec![RouteVisit::default(); n],
             route_stamp: 0,
             route_queue: VecDeque::new(),
+            route_chain: Vec::new(),
             read_cands: Vec::new(),
         }
     }
@@ -805,6 +878,7 @@ impl Partial {
             to: to as u32,
             peak: self.rf_peak[tile.0],
         });
+        self.rf_hi = self.rf_hi.max(to + 1);
         let base = tile.0 * (self.max_schedule + 1);
         let mut peak = self.rf_peak[tile.0];
         for c in &mut self.rf_count[base + from..=base + to] {
@@ -908,12 +982,11 @@ impl Partial {
         tile: TileId,
         cycle: usize,
     ) -> Option<TileId> {
-        let geom = ctx.config.geometry();
         let mut cands = std::mem::take(&mut self.read_cands);
         cands.clear();
         for &(t, ready) in &self.avail[v.0 as usize] {
             if ready as usize <= cycle {
-                let d = geom.distance(t, tile);
+                let d = ctx.pre.distance(t, tile);
                 if d <= 1 {
                     cands.push((d, t));
                 }
@@ -953,21 +1026,9 @@ impl Partial {
     /// the current block's peak local pressure *and* the peak pressure of
     /// every previously committed block.
     fn pin_home(&mut self, ctx: &MapCtx<'_>, s: SymbolId, preferred: TileId) -> Option<TileId> {
-        let geom = ctx.config.geometry();
-        let ntiles = geom.num_tiles();
-        let mut candidates: Vec<TileId> = Vec::with_capacity(ntiles);
-        candidates.push(preferred);
-        candidates.extend_from_slice(&ctx.pre.nbr_dir[preferred.0]);
-        // Fall back to every tile by distance, then id — membership via a
-        // tile mask instead of a linear `contains` scan per tile.
-        let mut in_cand = vec![false; ntiles];
-        for &t in &candidates {
-            in_cand[t.0] = true;
-        }
-        let mut rest: Vec<TileId> = geom.tiles().filter(|t| !in_cand[t.0]).collect();
-        rest.sort_by_key(|&t| (geom.distance(t, preferred), t));
-        candidates.extend(rest);
-        for home in candidates {
+        // The preferred tile, its neighbours, then every other tile by
+        // distance and id (precomputed in `MapPre`).
+        for &home in ctx.pre.home_order(preferred) {
             let cap = ctx.config.tile(home).rf_words;
             let pressure = self.rf_pressure[home.0].max(self.max_overlap(home));
             if self.persistent_count[home.0] + pressure + 1 <= cap {
@@ -984,7 +1045,7 @@ impl Partial {
                     .ops
                     .iter()
                     .filter(|po| ctx.cdfg.op(po.op).writes_symbol == Some(s))
-                    .map(|po| geom.distance(po.tile, home))
+                    .map(|po| ctx.pre.distance(po.tile, home))
                     .sum();
                 self.commit_debt += writer_debt;
                 return Some(home);
@@ -1045,7 +1106,81 @@ impl Partial {
         dest: TileId,
         need: usize,
     ) -> Option<TileId> {
-        let geom = ctx.config.geometry();
+        // Hop bound: a chain from a copy ready at `r` on `s` takes at
+        // least `max(1, distance(s, dest) - 1)` moves, one cycle each, all
+        // before `need`. When no copy meets that bound the search below
+        // cannot find a goal, and it mutates nothing either way.
+        let reachable = self.avail[v.0 as usize].iter().any(|&(s, r)| {
+            let r = r as usize;
+            r < need && ctx.pre.distance(s, dest) <= need - r + 1
+        });
+        if !reachable {
+            debug_assert!(
+                self.route_search(ctx, v, dest, need).is_none(),
+                "hop bound rejected a routable read of {v} at {dest}@{need}"
+            );
+            return None;
+        }
+        let goal = self.route_search(ctx, v, dest, need)?;
+        // Reconstruct and apply the move chain from the start copy.
+        let mut chain = std::mem::take(&mut self.route_chain);
+        chain.clear();
+        let mut cur = goal;
+        while self.route_visited[cur.0].prev_tile != u32::MAX {
+            let vis = self.route_visited[cur.0];
+            let prev = TileId(vis.prev_tile as usize);
+            chain.push((prev, cur, vis.prev_cycle as usize));
+            cur = prev;
+        }
+        let applied = self.apply_chain(ctx, v, &chain);
+        self.route_chain = chain;
+        // The consumer's read extends the goal copy via the caller.
+        applied.then_some(goal)
+    }
+
+    /// Applies a move chain recorded goal-first as `(src, dst, cycle)`
+    /// hops, from the start copy on; `false` when a hop does not fit.
+    fn apply_chain(
+        &mut self,
+        ctx: &MapCtx<'_>,
+        v: ValueId,
+        chain: &[(TileId, TileId, usize)],
+    ) -> bool {
+        for &(src, dst, m) in chain.iter().rev() {
+            // Each hop reads the previous copy at cycle m (extending its
+            // interval) and writes a new copy on dst.
+            if !self.try_extend_use(ctx, src, v, m) {
+                return false;
+            }
+            self.note_home_read(ctx, v, src, m);
+            if !self.try_add_copy(ctx, dst, v, m + 1) {
+                return false;
+            }
+            self.occupy(dst, m);
+            self.journal.push(UndoOp::PopMove);
+            self.moves.push(PlacedMove {
+                value: v,
+                src_tile: src,
+                tile: dst,
+                cycle: m,
+                commit_symbol: None,
+            });
+        }
+        true
+    }
+
+    /// The routing search of [`route_value`](Partial::route_value): a BFS
+    /// by move count from the copies of `v` ready before `need`, to the
+    /// first tile adjacent to `dest` reached by a free move slot. Leaves
+    /// the predecessor links in `route_visited` and touches no semantic
+    /// state.
+    fn route_search(
+        &mut self,
+        ctx: &MapCtx<'_>,
+        v: ValueId,
+        dest: TileId,
+        need: usize,
+    ) -> Option<TileId> {
         // BFS by move count over tiles; per tile keep the earliest ready.
         // The visited table is a stamped per-tile scratch array — no
         // hashing, no per-call allocation.
@@ -1107,7 +1242,7 @@ impl Partial {
                     prev_tile: x.0 as u32,
                     prev_cycle: m as u32,
                 };
-                if geom.distance(y, dest) <= 1 {
+                if ctx.pre.distance(y, dest) <= 1 {
                     goal = Some(y);
                     break 'bfs;
                 }
@@ -1115,39 +1250,7 @@ impl Partial {
             }
         }
         self.route_queue = queue;
-        let goal = goal?;
-        // Reconstruct and apply the move chain from the start copy.
-        let mut chain: Vec<(TileId, TileId, usize)> = Vec::new(); // (src, dst, cycle)
-        let mut cur = goal;
-        while self.route_visited[cur.0].prev_tile != u32::MAX {
-            let vis = self.route_visited[cur.0];
-            let prev = TileId(vis.prev_tile as usize);
-            chain.push((prev, cur, vis.prev_cycle as usize));
-            cur = prev;
-        }
-        chain.reverse();
-        for &(src, dst, m) in &chain {
-            // Each hop reads the previous copy at cycle m (extending its
-            // interval) and writes a new copy on dst.
-            if !self.try_extend_use(ctx, src, v, m) {
-                return None;
-            }
-            self.note_home_read(ctx, v, src, m);
-            if !self.try_add_copy(ctx, dst, v, m + 1) {
-                return None;
-            }
-            self.occupy(dst, m);
-            self.journal.push(UndoOp::PopMove);
-            self.moves.push(PlacedMove {
-                value: v,
-                src_tile: src,
-                tile: dst,
-                cycle: m,
-                commit_symbol: None,
-            });
-        }
-        // The consumer's read extends the goal copy via the caller.
-        Some(goal)
+        goal
     }
 
     /// Re-computing transformation: duplicates `producer` (a non-memory op
@@ -1170,11 +1273,40 @@ impl Partial {
             return false;
         }
         // Depth-1 only: every operand must be a constant or a pinned
-        // symbol whose home is adjacent to the duplicate's tile.
-        let geom = ctx.config.geometry();
-        let mut sites: Vec<TileId> = Vec::with_capacity(5);
-        sites.push(tile);
-        sites.extend_from_slice(&ctx.pre.nbr_dir[tile.0]);
+        // symbol whose home is adjacent to the duplicate's tile. A `Def`
+        // operand or an unpinned symbol fails that at every site alike,
+        // before any site mutates anything.
+        let hopeless = op.args.iter().any(|&a| match ctx.cdfg.value(a).kind {
+            ValueKind::Def(_) => true,
+            ValueKind::SymbolUse(s) => self.homes[s.0 as usize].is_none(),
+            ValueKind::Const(_) => false,
+        });
+        if hopeless {
+            if cfg!(debug_assertions) {
+                let cp = self.checkpoint();
+                let ok = self.recompute_near(ctx, producer, tile, before);
+                debug_assert!(
+                    !ok && !self.dirty_since(cp),
+                    "re-compute pre-check rejected {producer} at {tile}"
+                );
+            }
+            return false;
+        }
+        self.recompute_near(ctx, producer, tile, before)
+    }
+
+    /// The site loop of [`try_recompute`](Partial::try_recompute): the
+    /// first of `tile` and its neighbours where every operand resolves
+    /// without routing and a free slot before `before` has RF room.
+    fn recompute_near(
+        &mut self,
+        ctx: &MapCtx<'_>,
+        producer: OpId,
+        tile: TileId,
+        before: usize,
+    ) -> bool {
+        let op = ctx.cdfg.op(producer);
+        let sites = std::iter::once(tile).chain(ctx.pre.nbr_dir[tile.0].iter().copied());
         'site: for t2 in sites {
             if ctx.options.cab && self.blacklisted(ctx, t2) {
                 continue;
@@ -1194,7 +1326,7 @@ impl Partial {
                         let Some(home) = self.homes[s.0 as usize] else {
                             continue 'site;
                         };
-                        if geom.distance(home, t2) > 1 {
+                        if ctx.pre.distance(home, t2) > 1 {
                             continue 'site;
                         }
                         sources.push(OperandSource::Rf {
@@ -1339,7 +1471,7 @@ impl Partial {
                 self.journal.push(UndoOp::CommitDebt {
                     old: self.commit_debt,
                 });
-                self.commit_debt += ctx.config.geometry().distance(tile, home);
+                self.commit_debt += ctx.pre.distance(tile, home);
             }
         }
         self.push_op(PlacedOp {
@@ -1756,6 +1888,46 @@ mod tests {
                 before[i],
                 p.exact_words(t, p.length())
             );
+        }
+    }
+
+    /// Reference home probe order: the preferred tile, its neighbours in
+    /// direction order, then the rest sorted by (distance, id).
+    fn home_order_by_sort(geom: &cmam_arch::Geometry, p: TileId) -> Vec<TileId> {
+        let mut order = vec![p];
+        order.extend(geom.neighbors(p).into_iter().map(|(_, n)| n));
+        let mut rest: Vec<TileId> = geom.tiles().filter(|t| !order.contains(t)).collect();
+        rest.sort_by_key(|&t| (geom.distance(t, p), t));
+        order.extend(rest);
+        order
+    }
+
+    #[test]
+    fn map_pre_tables_match_the_geometry() {
+        // The paper's 4x4 configurations, a ring (1xN torus), a 2xN torus
+        // and a non-square torus.
+        let configs = [
+            CgraConfig::hom64(),
+            CgraConfig::het2(),
+            CgraConfig::builder(1, 7).build().unwrap(),
+            CgraConfig::builder(2, 5).build().unwrap(),
+            CgraConfig::builder(3, 6).build().unwrap(),
+        ];
+        for config in configs {
+            let geom = config.geometry();
+            let pre = MapPre::new(&config);
+            for a in geom.tiles() {
+                for b in geom.tiles() {
+                    assert_eq!(pre.distance(a, b), geom.distance(a, b), "{a}->{b}");
+                }
+                assert_eq!(
+                    pre.home_order(a),
+                    home_order_by_sort(&geom, a).as_slice(),
+                    "home order from {a} on {}x{}",
+                    geom.rows(),
+                    geom.cols()
+                );
+            }
         }
     }
 

@@ -409,4 +409,29 @@ mod tests {
             );
         }
     }
+
+    #[test]
+    fn mapper_tables_match_the_geometry_on_a_generated_sample() {
+        // `MapPre`'s hop distances and home probe orders (preferred
+        // tile, neighbours in direction order, then the rest by distance
+        // and id) must be exact on every geometry the generator samples.
+        for config in generate_space(&SpaceParams {
+            target: 64,
+            seed: 1,
+        }) {
+            let geom = config.geometry();
+            let pre = cmam_core::MapPre::new(&config);
+            for p in geom.tiles() {
+                let mut order = vec![p];
+                order.extend(geom.neighbors(p).into_iter().map(|(_, n)| n));
+                let mut rest: Vec<TileId> = geom.tiles().filter(|t| !order.contains(t)).collect();
+                rest.sort_by_key(|&t| (geom.distance(t, p), t));
+                order.extend(rest);
+                assert_eq!(pre.home_order(p), order.as_slice(), "{}", config.name());
+                for q in geom.tiles() {
+                    assert_eq!(pre.distance(p, q), geom.distance(p, q));
+                }
+            }
+        }
+    }
 }

@@ -157,11 +157,15 @@ fn parse_str(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Multi-byte UTF-8 sequences pass through unchanged.
-                let s = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let c = s.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run up to the next quote or escape.
+                // Multi-byte UTF-8 sequences pass through unchanged: the
+                // input came from a `&str`, and a run ends at an ASCII
+                // byte, so it never splits a character.
+                let start = *pos;
+                while !matches!(b.get(*pos), None | Some(b'"' | b'\\')) {
+                    *pos += 1;
+                }
+                out.push_str(std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?);
             }
         }
     }
@@ -231,5 +235,29 @@ mod tests {
         assert!(parse("{").is_err());
         assert!(parse("[1,]").is_err());
         assert!(parse("12 34").is_err());
+    }
+
+    #[test]
+    fn multi_megabyte_strings_with_multibyte_characters_parse() {
+        // ~3.6 MB of ASCII, 2-, 3- and 4-byte characters, with escapes in
+        // between so runs start and end next to multibyte characters.
+        let unit = "ab\u{e9}\u{20ac}\u{1f600}z";
+        let mut body = String::new();
+        let mut expected = String::new();
+        for i in 0..300_000 {
+            body.push_str(unit);
+            expected.push_str(unit);
+            if i % 1000 == 0 {
+                body.push_str(r#"\\\n\u00e9\""#);
+                expected.push_str("\\\n\u{e9}\"");
+            }
+        }
+        assert!(body.len() > 3_000_000);
+        let doc = format!(r#"{{"k": "{body}", "n": 1}}"#);
+        let v = parse(&doc).unwrap();
+        assert_eq!(v.get("k").and_then(Value::as_str), Some(expected.as_str()));
+        assert_eq!(v.get("n").and_then(Value::as_f64), Some(1.0));
+        // A document cut inside the string is an error, not a panic.
+        assert!(parse(&doc[..doc.len() / 2]).is_err());
     }
 }

@@ -463,6 +463,50 @@ mod tests {
         assert_eq!(validate_chrome_trace(good), Ok(4));
     }
 
+    /// A Chrome-trace document in the exporter's layout: one metadata
+    /// event, then `(name, tid, ts_ns, dur_ns)` complete events.
+    fn synthetic_trace(events: &[(&str, u32, u64, u64)]) -> String {
+        let mut doc = String::from(
+            r#"{"traceEvents":[
+{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"cmam"}}"#,
+        );
+        for (i, &(name, tid, ts, dur)) in events.iter().enumerate() {
+            doc.push_str(&format!(
+                ",\n{{\"name\":\"{}\",\"cat\":\"cmam\",\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\
+                 \"ts\":{},\"dur\":{},\"args\":{{\"i\":{i}}}}}",
+                json_escape(name),
+                ns_as_us(ts),
+                ns_as_us(dur),
+            ));
+        }
+        doc.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
+        doc
+    }
+
+    #[test]
+    fn validator_accepts_a_large_synthetic_trace() {
+        // 20,001 complete events on two threads: one root span on thread
+        // 1 holding 10,000 disjoint children with multibyte names, and
+        // 10,000 back-to-back spans on thread 2.
+        let mut events = vec![("root", 1, 0, 100_000_000)];
+        for i in 0..10_000u64 {
+            events.push((
+                "m\u{e4}p_bl\u{f6}ck \u{2192} \u{1f680}",
+                1,
+                10 + i * 9_000,
+                8_000,
+            ));
+            events.push(("simulate \"q\"", 2, i * 9_000, 9_000));
+        }
+        let doc = synthetic_trace(&events);
+        assert!(doc.len() > 2_000_000);
+        assert_eq!(validate_chrome_trace(&doc), Ok(20_001));
+        // One child overhanging the root breaks the nesting.
+        events.push(("late", 1, 99_999_000, 5_000));
+        let err = validate_chrome_trace(&synthetic_trace(&events)).unwrap_err();
+        assert!(err.contains("partially overlaps"), "{err}");
+    }
+
     #[test]
     fn validator_checks_metadata_shape() {
         let bad = r#"{"traceEvents":[{"name":"thread_name","ph":"M","pid":1,"tid":1}]}"#;
